@@ -223,7 +223,13 @@ fn session_table(aggs: &BTreeMap<String, Agg>) -> Vec<Vec<String>> {
         .collect()
 }
 
-fn agg_cell(a: &Agg) -> String {
+/// Count-valued histograms (solver iterations, e.g. `sem/pressure_iters`)
+/// print as plain numbers; every other histogram holds seconds.
+fn histogram_is_count(key: &str) -> bool {
+    key.ends_with("_iters")
+}
+
+fn agg_cell(name: &str, a: &Agg) -> String {
     match a {
         Agg::Counter(c) => c.to_string(),
         Agg::Gauge { sum, ranks, avg } => {
@@ -236,14 +242,23 @@ fn agg_cell(a: &Agg) -> String {
             p95,
             p99,
             max,
-        } => format!(
-            "n={count} p50={} p90={} p95={} p99={} max={}",
-            fmt_secs(*p50),
-            fmt_secs(*p90),
-            fmt_secs(*p95),
-            fmt_secs(*p99),
-            fmt_secs(*max)
-        ),
+        } => {
+            let fmt = |v: f64| {
+                if histogram_is_count(name) {
+                    format!("{v:.1}")
+                } else {
+                    fmt_secs(v)
+                }
+            };
+            format!(
+                "n={count} p50={} p90={} p95={} p99={} max={}",
+                fmt(*p50),
+                fmt(*p90),
+                fmt(*p95),
+                fmt(*p99),
+                fmt(*max)
+            )
+        }
     }
 }
 
@@ -296,7 +311,7 @@ fn summarize(r: &RunReport) {
         let rows: Vec<Vec<String>> = aggs
             .iter()
             .filter(|(name, _)| session_scope(name).is_none())
-            .map(|(name, a)| vec![name.clone(), agg_cell(a)])
+            .map(|(name, a)| vec![name.clone(), agg_cell(name, a)])
             .collect();
         println!("\nmetrics (summed over ranks; endpoint world prefixed)");
         print!("{}", format_table(&["metric", "value"], &rows));
@@ -385,7 +400,7 @@ fn diff(a: &RunReport, b: &RunReport) {
         let Some(vb) = ab.get(name) else {
             rows.push(vec![
                 name.clone(),
-                agg_cell(va),
+                agg_cell(name, va),
                 "-".into(),
                 "removed".into(),
             ]);
@@ -411,11 +426,21 @@ fn diff(a: &RunReport, b: &RunReport) {
             (Agg::Histogram { p95: x, .. }, Agg::Histogram { p95: y, .. }) => pct(*x, *y),
             _ => "type-changed".into(),
         };
-        rows.push(vec![name.clone(), agg_cell(va), agg_cell(vb), delta]);
+        rows.push(vec![
+            name.clone(),
+            agg_cell(name, va),
+            agg_cell(name, vb),
+            delta,
+        ]);
     }
     for (name, vb) in &ab {
         if !aa.contains_key(name) {
-            rows.push(vec![name.clone(), "-".into(), agg_cell(vb), "new".into()]);
+            rows.push(vec![
+                name.clone(),
+                "-".into(),
+                agg_cell(name, vb),
+                "new".into(),
+            ]);
         }
     }
     if !rows.is_empty() {

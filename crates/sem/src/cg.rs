@@ -1,10 +1,27 @@
-//! Jacobi-preconditioned conjugate gradient over assembled SEM operators.
+//! Jacobi-preconditioned conjugate gradient over assembled SEM operators,
+//! in the Chronopoulos–Gear single-reduction form.
 //!
 //! Works on unassembled (element-major) vectors: the operator callback
 //! applies the local element operator; this module gather-scatters, masks
 //! Dirichlet nodes, and computes multiplicity-weighted global inner
-//! products via `allreduce` — two collectives per iteration, exactly the
-//! communication signature NekRS's pressure/viscous solves show at scale.
+//! products.
+//!
+//! Classical PCG needs three inner products per iteration (`p·Ap`, `r·r`,
+//! `r·z`), each waiting on the vector the previous one produced, so each is
+//! its own allreduce. At scale a one-word allreduce costs more than the
+//! vector work around it, which is the latency that dominates NekRS's
+//! pressure solve. The Chronopoulos–Gear recurrence carries `s = A·p`
+//! beside `p` and applies the operator to the preconditioned residual
+//! `u = D⁻¹r` instead, so every inner product an iteration needs (`r·r`
+//! for the stopping test, `γ = r·u`, `δ = w·u` with `w = A·u`) is taken
+//! over vectors that exist at the same point: one `allreduce_vec` per
+//! iteration. `p·Ap` follows from the recurrence as `δ − β²·(p·Ap)_prev`.
+//! The price is one more operator apply per solve than classical PCG
+//! (`A·u₀` in set-up; the last iteration's `A·u` goes unused).
+//!
+//! Collectives per solve: one in set-up plus one per iteration; with
+//! `project_mean` the per-iteration and set-up residual mean projections
+//! and the final solution projection add one each.
 
 use crate::gs::GatherScatter;
 use crate::workspace::Workspace;
@@ -46,25 +63,13 @@ pub struct CgResult {
     pub converged: bool,
 }
 
-/// Multiplicity-weighted global inner product (shared nodes counted once).
-pub fn wdot(comm: &mut Comm, a: &[f64], b: &[f64], weights: &[f64]) -> f64 {
-    comm.compute_gpu(2.0 * a.len() as f64, 3.0 * 8.0 * a.len() as f64);
-    let local: f64 = a
-        .iter()
-        .zip(b)
-        .zip(weights)
-        .map(|((&x, &y), &w)| x * y * w)
-        .sum();
-    comm.allreduce(local, ReduceOp::Sum)
-}
-
 /// Solve `A x = b` where `apply` computes the *local unassembled* operator.
 ///
 /// `b` must already be assembled (gather-scattered) and masked; `x` holds
 /// the initial guess (assembled/continuous, zero on masked nodes) and is
 /// overwritten with the solution. `diag_inv` is the inverse of the
 /// assembled operator diagonal (with masked entries arbitrary), `mask` is 1
-/// on free nodes and 0 on Dirichlet nodes. The four CG work vectors come
+/// on free nodes and 0 on Dirichlet nodes. The five CG work vectors come
 /// from `ws` and are returned to it, so repeated solves don't allocate.
 #[allow(clippy::too_many_arguments)]
 pub fn solve(
@@ -80,18 +85,20 @@ pub fn solve(
 ) -> CgResult {
     let _sp = comm.span("sem/cg");
     debug_assert_eq!(ws.len(), b.len(), "workspace sized for a different mesh");
-    // Every element of r/z/p/q is written before it is read.
-    let mut r = ws.take_uninit();
-    let mut z = ws.take_uninit();
-    let mut p = ws.take_uninit();
-    let mut q = ws.take_uninit();
-    let result = solve_with(
-        comm, gs, apply, b, x, diag_inv, mask, cfg, &mut r, &mut z, &mut p, &mut q,
-    );
-    ws.put(r);
-    ws.put(z);
-    ws.put(p);
-    ws.put(q);
+    // r/u/w are written before they are read; p and s start at zero so the
+    // first iteration's β = 0 update yields p = u, s = w.
+    let mut v = [
+        ws.take_uninit(),
+        ws.take_uninit(),
+        ws.take_uninit(),
+        ws.take(),
+        ws.take(),
+    ];
+    let [r, u, w, p, s] = &mut v;
+    let result = solve_with(comm, gs, apply, b, x, diag_inv, mask, cfg, r, u, w, p, s);
+    for buf in v {
+        ws.put(buf);
+    }
     result
 }
 
@@ -106,27 +113,44 @@ fn solve_with(
     mask: &[f64],
     cfg: &CgConfig,
     r: &mut [f64],
-    z: &mut [f64],
+    u: &mut [f64],
+    w: &mut [f64],
     p: &mut [f64],
-    q: &mut [f64],
+    s: &mut [f64],
 ) -> CgResult {
+    // Separate `&mut [f64]` parameters tell the compiler the vectors do not
+    // alias, and slicing them to one length removes the bounds checks: both
+    // are needed for the fused loops below to vectorize.
     let n = b.len();
-    let w = gs.mult_inv();
+    let (x, diag_inv, mask, wt) = (&mut x[..n], &diag_inv[..n], &mask[..n], &gs.mult_inv()[..n]);
+    let (r, u, w, p, s) = (
+        &mut r[..n],
+        &mut u[..n],
+        &mut w[..n],
+        &mut p[..n],
+        &mut s[..n],
+    );
+    let mut masked_op = |comm: &mut Comm, v: &[f64], out: &mut [f64]| {
+        apply(comm, v, out);
+        gs.sum(comm, out);
+        for (o, &m) in out.iter_mut().zip(mask) {
+            *o *= m;
+        }
+    };
 
-    // r = b - mask·GS(A x).
-    apply(comm, x, &mut *q);
-    gs.sum(comm, &mut *q);
+    // r = b − mask·GS(A x), u = D⁻¹r, w = mask·GS(A u).
+    masked_op(comm, x, w);
     for i in 0..n {
-        r[i] = b[i] - mask[i] * q[i];
+        r[i] = b[i] - w[i];
     }
     if cfg.project_mean {
-        remove_weighted_mean(comm, &mut *r, w, mask);
+        remove_weighted_mean(comm, r, wt, mask);
     }
-
-    let norm_b = wdot(comm, b, b, w).sqrt();
-    let target = (cfg.tol * norm_b).max(cfg.abs_tol);
-
-    let mut rnorm = wdot(comm, &*r, &*r, w).sqrt();
+    precondition(u, r, diag_inv, mask);
+    masked_op(comm, u, w);
+    let [bb, rr, mut gamma, mut delta] = fused_wdots(comm, [(b, b), (r, r), (r, u), (w, u)], wt);
+    let target = (cfg.tol * bb.sqrt()).max(cfg.abs_tol);
+    let mut rnorm = rr.sqrt();
     if rnorm <= target {
         return CgResult {
             iterations: 0,
@@ -135,51 +159,45 @@ fn solve_with(
         };
     }
 
-    for i in 0..n {
-        z[i] = diag_inv[i] * r[i] * mask[i];
-    }
-    p.copy_from_slice(&*z);
-    let mut rz = wdot(comm, &*r, &*z, w);
-
+    let (mut beta, mut pap) = (0.0, 0.0);
     let mut iterations = 0;
     while iterations < cfg.max_iter {
         iterations += 1;
-        apply(comm, &*p, &mut *q);
-        gs.sum(comm, &mut *q);
-        for i in 0..n {
-            q[i] *= mask[i];
-        }
-        let pq = wdot(comm, &*p, &*q, w);
-        if pq.abs() < f64::MIN_POSITIVE * 1e10 {
+        // p·Ap from the recurrence: δ − β²·(p·Ap) of the previous
+        // iteration (β = 0 on the first, giving p·Ap = u·Au = δ).
+        pap = delta - beta * beta * pap;
+        if pap.abs() < f64::MIN_POSITIVE * 1e10 {
             break; // operator degenerate on remaining subspace
         }
-        let alpha = rz / pq;
+        let alpha = gamma / pap;
         for i in 0..n {
+            p[i] = u[i] + beta * p[i];
+            s[i] = w[i] + beta * s[i];
             x[i] += alpha * p[i];
-            r[i] -= alpha * q[i];
+            r[i] -= alpha * s[i];
+            u[i] = diag_inv[i] * r[i] * mask[i];
         }
         if cfg.project_mean {
-            remove_weighted_mean(comm, &mut *r, w, mask);
+            // The projection changes r, so u is preconditioned again (a
+            // branch inside the fused loop would stop it vectorizing).
+            remove_weighted_mean(comm, r, wt, mask);
+            precondition(u, r, diag_inv, mask);
         }
-        rnorm = wdot(comm, &*r, &*r, w).sqrt();
+        masked_op(comm, u, w);
+        let [rr, gamma_new, delta_new] = fused_wdots(comm, [(r, r), (r, u), (w, u)], wt);
+        rnorm = rr.sqrt();
         if rnorm <= target {
             break;
         }
-        for i in 0..n {
-            z[i] = diag_inv[i] * r[i] * mask[i];
-        }
-        let rz_new = wdot(comm, &*r, &*z, w);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
+        beta = gamma_new / gamma;
+        gamma = gamma_new;
+        delta = delta_new;
     }
 
     if cfg.project_mean {
         // Pin the solution's mean to zero as well (it is only defined up to
         // a constant).
-        remove_weighted_mean(comm, x, w, mask);
+        remove_weighted_mean(comm, x, wt, mask);
     }
 
     CgResult {
@@ -187,6 +205,54 @@ fn solve_with(
         residual: rnorm,
         converged: rnorm <= target,
     }
+}
+
+/// Jacobi preconditioner on free nodes: `u = D⁻¹·r·mask`.
+fn precondition(u: &mut [f64], r: &[f64], diag_inv: &[f64], mask: &[f64]) {
+    for (((ui, &ri), &di), &m) in u.iter_mut().zip(r).zip(diag_inv).zip(mask) {
+        *ui = di * ri * m;
+    }
+}
+
+/// `K` multiplicity-weighted global inner products (shared nodes counted
+/// once) in one local pass and one `allreduce_vec`. The pass is charged as
+/// one GPU kernel streaming each distinct vector once, plus the weights.
+fn fused_wdots<const K: usize>(
+    comm: &mut Comm,
+    pairs: [(&[f64], &[f64]); K],
+    weights: &[f64],
+) -> [f64; K] {
+    let ptrs = || pairs.iter().flat_map(|(a, b)| [a.as_ptr(), b.as_ptr()]);
+    let distinct = ptrs()
+        .enumerate()
+        .filter(|&(i, v)| ptrs().take(i).all(|seen| seen != v))
+        .count();
+    let n = weights.len();
+    comm.compute_gpu(2.0 * (K * n) as f64, 8.0 * ((distinct + 1) * n) as f64);
+    // Four interleaved partial sums per product break the serial add
+    // chain; the lane split and the final combine are fixed, so the result
+    // depends on the inputs alone.
+    const LANES: usize = 4;
+    let pairs = pairs.map(|(a, b)| (&a[..n], &b[..n]));
+    let mut lanes = [[0.0; LANES]; K];
+    let body = n - n % LANES;
+    for i in (0..body).step_by(LANES) {
+        let wl = &weights[i..i + LANES];
+        for (acc, (a, b)) in lanes.iter_mut().zip(&pairs) {
+            let (a, b) = (&a[i..i + LANES], &b[i..i + LANES]);
+            for l in 0..LANES {
+                acc[l] += a[l] * b[l] * wl[l];
+            }
+        }
+    }
+    let mut dots = lanes.map(|acc| acc.iter().sum::<f64>());
+    for i in body..n {
+        for (d, (a, b)) in dots.iter_mut().zip(&pairs) {
+            *d += a[i] * b[i] * weights[i];
+        }
+    }
+    comm.allreduce_vec(&mut dots, ReduceOp::Sum);
+    dots
 }
 
 /// Subtract the multiplicity-weighted mean over free nodes from `v`.
@@ -216,26 +282,73 @@ mod tests {
     use commsim::{run_ranks, MachineModel};
     use std::sync::Arc;
 
-    /// Solve the Poisson problem −∇²u = f with homogeneous Dirichlet BCs
-    /// and a manufactured solution, on `ranks` ranks.
-    fn poisson_manufactured(ranks: usize, order: usize, elems: [usize; 3]) -> (f64, CgResult) {
-        let results = run_ranks(ranks, MachineModel::test_tiny(), move |comm| {
+    /// Collectives a Dirichlet solve spends outside its iterations: the
+    /// fused set-up reduction.
+    const DIRICHLET_SETUP_COLLECTIVES: u64 = 1;
+    /// A `project_mean` solve adds the set-up residual projection and the
+    /// final solution projection.
+    const NEUMANN_SETUP_COLLECTIVES: u64 = 3;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Solver {
+        SingleReduction,
+        /// The three-reduction PCG that `solve` replaced.
+        Reference,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Problem {
+        /// −∇²u = 3π²u, u = sin(πx)sin(πy)sin(πz), homogeneous Dirichlet.
+        Dirichlet,
+        /// −∇²u = 4π²u, u = sin(2πx) on a periodic box (pure Neumann,
+        /// solved with `project_mean`).
+        Neumann,
+    }
+
+    /// One rank's view of a solve.
+    struct Outcome {
+        result: CgResult,
+        /// Max nodal error against the manufactured solution.
+        err: f64,
+        x: Vec<f64>,
+        collectives: u64,
+    }
+
+    /// Solve a manufactured Poisson problem on the unit box with `solver`
+    /// at tolerance `tol`; one outcome per rank.
+    fn manufactured(
+        problem: Problem,
+        solver: Solver,
+        ranks: usize,
+        order: usize,
+        elems: [usize; 3],
+        tol: f64,
+    ) -> Vec<Outcome> {
+        run_ranks(ranks, MachineModel::test_tiny(), move |comm| {
             use std::f64::consts::PI;
-            let spec = Arc::new(MeshSpec::box_mesh(order, elems, [1.0; 3], [false; 3]));
+            let neumann = problem == Problem::Neumann;
+            let spec = Arc::new(MeshSpec::box_mesh(order, elems, [1.0; 3], [neumann; 3]));
             let mesh = LocalMesh::new(spec, comm.rank(), comm.size());
             let gs = crate::gs::GatherScatter::new(&mesh, comm);
             let ops = Ops::new(&mesh);
             let n = mesh.layout().n_nodes();
 
-            // u = sin(πx) sin(πy) sin(πz), f = 3π² u.
-            let exact =
-                mesh.eval_nodal(|x| (PI * x[0]).sin() * (PI * x[1]).sin() * (PI * x[2]).sin());
-            let f = exact.iter().map(|&u| 3.0 * PI * PI * u).collect::<Vec<_>>();
-
-            let (mask, _) = mesh.dirichlet_mask(&BcSet {
-                faces: [Bc::Dirichlet(0.0); 6],
-                solid_surface: Bc::Neumann,
-            });
+            let (exact, k2) = if neumann {
+                (mesh.eval_nodal(|x| (2.0 * PI * x[0]).sin()), 4.0 * PI * PI)
+            } else {
+                let u = |x: [f64; 3]| (PI * x[0]).sin() * (PI * x[1]).sin() * (PI * x[2]).sin();
+                (mesh.eval_nodal(u), 3.0 * PI * PI)
+            };
+            let f: Vec<f64> = exact.iter().map(|&u| k2 * u).collect();
+            let mask = if neumann {
+                vec![1.0; n]
+            } else {
+                mesh.dirichlet_mask(&BcSet {
+                    faces: [Bc::Dirichlet(0.0); 6],
+                    solid_surface: Bc::Neumann,
+                })
+                .0
+            };
 
             // b = GS(M f), masked.
             let mut b = vec![0.0; n];
@@ -251,37 +364,226 @@ mod tests {
 
             let mut x = vec![0.0; n];
             let mut scratch = vec![0.0; n];
-            let mut ws = Workspace::new(n);
             let cfg = CgConfig {
-                tol: 1e-10,
+                tol,
                 max_iter: 500,
+                project_mean: neumann,
                 ..Default::default()
             };
-            let result = solve(
-                comm,
-                &gs,
-                |comm, p, out| ops.stiffness_apply(comm, p, out, &mut scratch),
-                &b,
-                &mut x,
-                &diag_inv,
-                &mask,
-                &cfg,
-                &mut ws,
-            );
+            let apply = |comm: &mut Comm, p: &[f64], out: &mut [f64]| {
+                ops.stiffness_apply(comm, p, out, &mut scratch)
+            };
+            let before = comm.stats().collectives;
+            let result = match solver {
+                Solver::SingleReduction => solve(
+                    comm,
+                    &gs,
+                    apply,
+                    &b,
+                    &mut x,
+                    &diag_inv,
+                    &mask,
+                    &cfg,
+                    &mut Workspace::new(n),
+                ),
+                Solver::Reference => {
+                    reference_solve(comm, &gs, apply, &b, &mut x, &diag_inv, &mask, &cfg)
+                }
+            };
+            let collectives = comm.stats().collectives - before;
             let err = x
                 .iter()
                 .zip(&exact)
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f64::max);
-            (err, result)
-        });
-        results[0]
+            Outcome {
+                result,
+                err,
+                x,
+                collectives,
+            }
+        })
+    }
+
+    fn dirichlet(ranks: usize, order: usize, elems: [usize; 3]) -> Outcome {
+        let mut out = manufactured(
+            Problem::Dirichlet,
+            Solver::SingleReduction,
+            ranks,
+            order,
+            elems,
+            1e-10,
+        );
+        out.swap_remove(0)
+    }
+
+    /// The classical preconditioned CG `solve` replaced: `p·q`, `r·r` and
+    /// `r·z` each take their own allreduce (plus the mean projection).
+    #[allow(clippy::too_many_arguments)]
+    fn reference_solve(
+        comm: &mut Comm,
+        gs: &GatherScatter,
+        mut apply: impl FnMut(&mut Comm, &[f64], &mut [f64]),
+        b: &[f64],
+        x: &mut [f64],
+        diag_inv: &[f64],
+        mask: &[f64],
+        cfg: &CgConfig,
+    ) -> CgResult {
+        let n = b.len();
+        let w = gs.mult_inv();
+        let wdot = |comm: &mut Comm, a: &[f64], b: &[f64]| {
+            let local: f64 = a.iter().zip(b).zip(w).map(|((&x, &y), &w)| x * y * w).sum();
+            comm.allreduce(local, ReduceOp::Sum)
+        };
+        let (mut r, mut z, mut p, mut q) = (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        apply(comm, x, &mut q);
+        gs.sum(comm, &mut q);
+        for i in 0..n {
+            r[i] = b[i] - mask[i] * q[i];
+        }
+        if cfg.project_mean {
+            remove_weighted_mean(comm, &mut r, w, mask);
+        }
+        let target = (cfg.tol * wdot(comm, b, b).sqrt()).max(cfg.abs_tol);
+        let mut rnorm = wdot(comm, &r, &r).sqrt();
+        if rnorm <= target {
+            return CgResult {
+                iterations: 0,
+                residual: rnorm,
+                converged: true,
+            };
+        }
+        precondition(&mut z, &r, diag_inv, mask);
+        p.copy_from_slice(&z);
+        let mut rz = wdot(comm, &r, &z);
+        let mut iterations = 0;
+        while iterations < cfg.max_iter {
+            iterations += 1;
+            apply(comm, &p, &mut q);
+            gs.sum(comm, &mut q);
+            for i in 0..n {
+                q[i] *= mask[i];
+            }
+            let pq = wdot(comm, &p, &q);
+            if pq.abs() < f64::MIN_POSITIVE * 1e10 {
+                break;
+            }
+            let alpha = rz / pq;
+            for i in 0..n {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * q[i];
+            }
+            if cfg.project_mean {
+                remove_weighted_mean(comm, &mut r, w, mask);
+            }
+            rnorm = wdot(comm, &r, &r).sqrt();
+            if rnorm <= target {
+                break;
+            }
+            precondition(&mut z, &r, diag_inv, mask);
+            let rz_new = wdot(comm, &r, &z);
+            let beta = rz_new / rz;
+            rz = rz_new;
+            for i in 0..n {
+                p[i] = z[i] + beta * p[i];
+            }
+        }
+        if cfg.project_mean {
+            remove_weighted_mean(comm, x, w, mask);
+        }
+        CgResult {
+            iterations,
+            residual: rnorm,
+            converged: rnorm <= target,
+        }
+    }
+
+    /// The single-reduction solver against the reference on one problem:
+    /// same tolerance met, iteration counts within ±1, solutions within
+    /// the tolerance of each other, and the pinned collective count.
+    fn check_against_reference(
+        problem: Problem,
+        ranks: usize,
+        order: usize,
+        elems: [usize; 3],
+        setup_collectives: u64,
+        collectives_per_iter: u64,
+    ) {
+        let tol = 1e-10;
+        let new = manufactured(problem, Solver::SingleReduction, ranks, order, elems, tol);
+        let reference = manufactured(problem, Solver::Reference, ranks, order, elems, tol);
+        let x_scale = reference
+            .iter()
+            .flat_map(|o| &o.x)
+            .fold(0.0f64, |m, v| m.max(v.abs()));
+        for (rank, (a, b)) in new.iter().zip(&reference).enumerate() {
+            assert!(
+                a.result.converged && b.result.converged,
+                "rank {rank}: {:?} vs {:?}",
+                a.result,
+                b.result
+            );
+            assert!(
+                a.result.iterations.abs_diff(b.result.iterations) <= 1,
+                "rank {rank}: {} iterations vs reference {}",
+                a.result.iterations,
+                b.result.iterations
+            );
+            let diff =
+                a.x.iter()
+                    .zip(&b.x)
+                    .map(|(u, v)| (u - v).abs())
+                    .fold(0.0, f64::max);
+            assert!(
+                diff <= tol * x_scale,
+                "rank {rank}: solutions differ by {diff}"
+            );
+            assert!(
+                (a.err - b.err).abs() <= tol * x_scale,
+                "rank {rank}: {} vs {}",
+                a.err,
+                b.err
+            );
+            assert_eq!(
+                a.collectives,
+                setup_collectives + collectives_per_iter * a.result.iterations as u64,
+                "rank {rank}: collectives for {} iterations",
+                a.result.iterations
+            );
+        }
+    }
+
+    #[test]
+    fn dirichlet_matches_reference_with_one_collective_per_iteration() {
+        for ranks in [1, 4] {
+            check_against_reference(
+                Problem::Dirichlet,
+                ranks,
+                4,
+                [2, 2, 4],
+                DIRICHLET_SETUP_COLLECTIVES,
+                1,
+            );
+        }
+    }
+
+    #[test]
+    fn neumann_matches_reference_with_two_collectives_per_iteration() {
+        check_against_reference(
+            Problem::Neumann,
+            2,
+            5,
+            [2, 1, 2],
+            NEUMANN_SETUP_COLLECTIVES,
+            2,
+        );
     }
 
     #[test]
     fn poisson_converges_to_manufactured_solution_single_rank() {
-        let (err, res) = poisson_manufactured(1, 5, [2, 2, 2]);
-        assert!(res.converged, "{res:?}");
+        let Outcome { err, result, .. } = dirichlet(1, 5, [2, 2, 2]);
+        assert!(result.converged, "{result:?}");
         // Spectral accuracy: N=5 on 8 elements resolves sin(πx) to ~1e-4.
         assert!(err < 5e-4, "max err {err}");
     }
@@ -291,9 +593,10 @@ mod tests {
         // Parallel summation order changes the CG trajectory slightly, so
         // compare the *discretization* errors, which must agree to well
         // within the discretization error itself.
-        let (err1, _) = poisson_manufactured(1, 4, [2, 2, 4]);
-        let (err3, res3) = poisson_manufactured(4, 4, [2, 2, 4]);
-        assert!(res3.converged);
+        let err1 = dirichlet(1, 4, [2, 2, 4]).err;
+        let par = dirichlet(4, 4, [2, 2, 4]);
+        let err3 = par.err;
+        assert!(par.result.converged);
         assert!(err1 < 2e-3 && err3 < 2e-3);
         assert!(
             (err1 - err3).abs() < 0.5 * err1.max(err3),
@@ -308,7 +611,7 @@ mod tests {
         // property of the SEM discretization.
         let errors: Vec<f64> = [2usize, 3, 4, 5]
             .iter()
-            .map(|&order| poisson_manufactured(1, order, [2, 2, 2]).0)
+            .map(|&order| dirichlet(1, order, [2, 2, 2]).err)
             .collect();
         for w in errors.windows(2) {
             assert!(
@@ -355,52 +658,17 @@ mod tests {
     #[test]
     fn neumann_poisson_with_mean_projection() {
         // Pure Neumann: periodic box, u = sin(2πx), f = 4π²sin(2πx).
-        let res = run_ranks(2, MachineModel::test_tiny(), |comm| {
-            use std::f64::consts::PI;
-            let spec = Arc::new(MeshSpec::box_mesh(5, [2, 1, 2], [1.0; 3], [true; 3]));
-            let mesh = LocalMesh::new(spec, comm.rank(), comm.size());
-            let gs = crate::gs::GatherScatter::new(&mesh, comm);
-            let ops = Ops::new(&mesh);
-            let n = mesh.layout().n_nodes();
-            let exact = mesh.eval_nodal(|x| (2.0 * PI * x[0]).sin());
-            let f: Vec<f64> = exact.iter().map(|&u| 4.0 * PI * PI * u).collect();
-            let mut b = vec![0.0; n];
-            ops.mass_apply(comm, &f, &mut b);
-            gs.sum(comm, &mut b);
-            let mut diag = ops.stiffness_diag();
-            gs.sum(comm, &mut diag);
-            let diag_inv: Vec<f64> = diag.iter().map(|&d| 1.0 / d).collect();
-            let mask = vec![1.0; n];
-            let mut x = vec![0.0; n];
-            let mut scratch = vec![0.0; n];
-            let mut ws = Workspace::new(n);
-            let cfg = CgConfig {
-                tol: 1e-10,
-                max_iter: 400,
-                project_mean: true,
-                ..Default::default()
-            };
-            let r = solve(
-                comm,
-                &gs,
-                |comm, p, out| ops.stiffness_apply(comm, p, out, &mut scratch),
-                &b,
-                &mut x,
-                &diag_inv,
-                &mask,
-                &cfg,
-                &mut ws,
-            );
-            let err = x
-                .iter()
-                .zip(&exact)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            (r.converged, err)
-        });
-        for (conv, err) in res {
-            assert!(conv);
-            assert!(err < 2e-3, "max err {err}");
+        let out = manufactured(
+            Problem::Neumann,
+            Solver::SingleReduction,
+            2,
+            5,
+            [2, 1, 2],
+            1e-10,
+        );
+        for o in out {
+            assert!(o.result.converged);
+            assert!(o.err < 2e-3, "max err {}", o.err);
         }
     }
 

@@ -71,6 +71,25 @@ impl BlockInstruments {
     }
 }
 
+/// Lazily-bound per-step telemetry: virtual step time and solver health
+/// (CG iterations per pressure solve and per velocity-component solve).
+/// Every handle is a no-op when telemetry is off.
+struct StepInstruments {
+    step_time: commsim::Histogram,
+    pressure_iters: commsim::Histogram,
+    velocity_iters: commsim::Histogram,
+}
+
+impl StepInstruments {
+    fn new(t: &commsim::RankTelemetry) -> Self {
+        Self {
+            step_time: t.histogram("sem/step_time"),
+            pressure_iters: t.histogram("sem/pressure_iters"),
+            velocity_iters: t.histogram("sem/velocity_iters"),
+        }
+    }
+}
+
 /// Temperature-equation configuration (enables Boussinesq coupling).
 #[derive(Debug, Clone)]
 pub struct TemperatureConfig {
@@ -220,9 +239,10 @@ pub struct FlowSolver {
     block_arena: BlockArena,
     step_index: usize,
     time: f64,
-    /// Lazily-bound telemetry instrument for per-step virtual time
-    /// (`rank<r>/sem/step_time`); a no-op handle when telemetry is off.
-    step_hist: Option<commsim::Histogram>,
+    /// Lazily-bound per-step instruments (`rank<r>/sem/step_time`,
+    /// `sem/pressure_iters`, `sem/velocity_iters`), bound by the first step
+    /// so steady-state steps never touch the registry.
+    step_instr: Option<StepInstruments>,
     /// Lazily-bound block-scheduler instruments (overlap ratio gauge +
     /// per-phase imbalance counters).
     block_instr: Option<BlockInstruments>,
@@ -341,7 +361,7 @@ impl FlowSolver {
             block_arena: BlockArena::new(),
             step_index: 0,
             time: 0.0,
-            step_hist: None,
+            step_instr: None,
             block_instr: None,
             _gpu_charge: gpu_charge,
         }
@@ -890,9 +910,14 @@ impl FlowSolver {
 
         self.step_index += 1;
         self.time += dt;
-        self.step_hist
-            .get_or_insert_with(|| comm.telemetry().histogram("sem/step_time"))
-            .observe(comm.now() - t_step_start);
+        let instr = self
+            .step_instr
+            .get_or_insert_with(|| StepInstruments::new(comm.telemetry()));
+        instr.step_time.observe(comm.now() - t_step_start);
+        instr.pressure_iters.observe(pressure.iterations as f64);
+        for v in &velocity {
+            instr.velocity_iters.observe(v.iterations as f64);
+        }
         StepReport {
             step: self.step_index,
             time: self.time,

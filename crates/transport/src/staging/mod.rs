@@ -49,6 +49,10 @@ use std::time::Duration;
 const CREDIT_WAIT: Duration = Duration::from_secs(10);
 /// Credit poll interval while stalled.
 const CREDIT_POLL: Duration = Duration::from_millis(20);
+/// How long a TCP session's credit reader waits for more bytes (keeping
+/// the socket open) after the service dropped the session, before it
+/// gives up on the consumer closing its side.
+const CLOSE_LINGER: Duration = Duration::from_secs(10);
 
 /// Per-session fan-out accounting, reported and fed into `staging/*`
 /// telemetry.
@@ -632,8 +636,15 @@ impl StagingService {
                 DownLink::Local(tx) => tx.send(DownMsg::End).is_ok(),
                 DownLink::Tcp(stream) => {
                     stream.set_write_timeout(Some(CREDIT_WAIT)).ok();
-                    comm.external_wait(|| protocol::write_down(stream, &DownMsg::End))
-                        .is_ok()
+                    let sent = comm
+                        .external_wait(|| protocol::write_down(stream, &DownMsg::End))
+                        .is_ok();
+                    // Half-close: the consumer reads `End` then EOF. The
+                    // socket itself stays open in the credit reader until
+                    // the consumer closes, so credits still in flight are
+                    // read rather than answered with a reset.
+                    let _ = stream.shutdown(std::net::Shutdown::Write);
+                    sent
                 }
             };
             if !sent {
@@ -678,17 +689,25 @@ impl StagingService {
     }
 }
 
+/// Forward a TCP session's credit grants to the service. Once the
+/// service has dropped the session, keep reading (and discarding) until
+/// the consumer closes or stays silent for [`CLOSE_LINGER`]: closing a
+/// socket with unread bytes makes the kernel send a reset, which would
+/// destroy the consumer's still-unread frames and `End`.
 fn forward_credits(mut stream: TcpStream, tx: Sender<u32>) {
     loop {
         match protocol::read_credit(&mut stream) {
             Ok(Some(n)) => {
                 if tx.send(n).is_err() {
-                    return;
+                    break;
                 }
             }
             Ok(None) | Err(_) => return,
         }
     }
+    stream.set_read_timeout(Some(CLOSE_LINGER)).ok();
+    let mut sink = [0u8; 256];
+    while matches!(std::io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0) {}
 }
 
 #[cfg(test)]
@@ -805,11 +824,7 @@ mod tests {
         let first = early.next_frame(Duration::from_secs(20)).unwrap().unwrap();
         assert_eq!(first.step, 1);
         let mut late = handle.attach_local(SessionSpec::default(), 8);
-        let mut late_frames = vec![];
-        while let Some(f) = late.next_frame(Duration::from_secs(20)).unwrap() {
-            late_frames.push(f);
-            late.grant(1).unwrap();
-        }
+        let late_frames = late.drain(Duration::from_secs(20)).unwrap();
         let mut early_frames = vec![first];
         early_frames.extend(early.drain(Duration::from_secs(20)).unwrap());
         sim.join().unwrap();

@@ -10,7 +10,7 @@ use nek_sensei::{
     run_insitu, run_intransit, EndpointMode, ExecMode, InSituConfig, InSituMode, InTransitConfig,
 };
 use sem::cases::{pb146, rbc, CaseParams};
-use telemetry::{EventKind, RunReport, REPORT_SCHEMA};
+use telemetry::{EventKind, MetricValue, RunReport, REPORT_SCHEMA};
 use transport::{QueuePolicy, StagingLink, WriterConfig};
 
 /// Pipelined checkpointing run with a 50-virtual-second consumer stall at
@@ -127,6 +127,17 @@ fn pipelined_fault_run_emits_complete_run_report() {
     // Instrument registry captured the solver histogram (sim world) and
     // the checkpoint counter (consumer world, `endpoint<r>/` scope).
     assert!(report.metric("rank0/sem/step_time").is_some());
+    // Solver health: one pressure solve and three velocity-component
+    // solves per step, each observed with its CG iteration count.
+    for (name, solves) in [("pressure_iters", 8), ("velocity_iters", 3 * 8)] {
+        match report.metric(&format!("rank0/sem/{name}")) {
+            Some(MetricValue::Histogram(h)) => {
+                assert_eq!(h.count, solves, "{name}: one observation per solve");
+                assert!(h.sum > 0.0, "{name}: the solves iterate");
+            }
+            other => panic!("rank0/sem/{name} missing or not a histogram: {other:?}"),
+        }
+    }
     assert!(report
         .metric("endpoint0/checkpoint/bytes_written")
         .is_some());
