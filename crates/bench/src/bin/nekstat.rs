@@ -65,7 +65,7 @@ fn load(path: &str) -> RunReport {
 ///
 /// Prefix rules:
 /// * `rank<k>/<metric>` — simulation-world rank scope; stripped, and the
-///   remainder aggregates (counters sum, ratio gauges average,
+///   remainder aggregates (counters sum, ratio and divergence gauges average,
 ///   histograms combine) across ranks.
 /// * `endpoint<k>/<metric>` — endpoint-world rank scope; stripped the
 ///   same way but kept separate from the simulation rows by an
@@ -91,8 +91,9 @@ fn base_name(name: &str) -> (&str, bool) {
 
 /// One aggregated row per logical metric: counters sum over ranks;
 /// gauges sum too, except ratio-valued gauges (name ending in `ratio`,
-/// e.g. `sem/overlap_ratio`), which average — a sum of per-rank ratios
-/// is meaningless; histograms combine counts exactly and keep the worst
+/// e.g. `sem/overlap_ratio`) and the global `sem/divergence` norm every
+/// rank holds, which average — a sum over ranks of either is
+/// meaningless; histograms combine counts exactly and keep the worst
 /// p95.
 enum Agg {
     Counter(u64),
@@ -108,8 +109,8 @@ enum Agg {
 }
 
 impl Agg {
-    /// The displayed gauge value: per-rank average for ratios, sum
-    /// otherwise.
+    /// The displayed gauge value: per-rank average for averaged gauges,
+    /// sum otherwise.
     fn gauge_value(sum: f64, ranks: u64, avg: bool) -> f64 {
         if avg && ranks > 0 {
             sum / ranks as f64
@@ -119,9 +120,10 @@ impl Agg {
     }
 }
 
-/// Ratio-valued gauges are averaged over ranks instead of summed.
-fn gauge_is_ratio(key: &str) -> bool {
-    key.ends_with("ratio")
+/// Ratio-valued gauges and the divergence norm are averaged over ranks
+/// instead of summed.
+fn gauge_averages(key: &str) -> bool {
+    key.ends_with("ratio") || key.ends_with("sem/divergence")
 }
 
 fn aggregate(report: &RunReport) -> BTreeMap<String, Agg> {
@@ -138,7 +140,7 @@ fn aggregate(report: &RunReport) -> BTreeMap<String, Agg> {
                 out.insert(key, Agg::Counter(*c));
             }
             (None, MetricValue::Gauge(g)) => {
-                let avg = gauge_is_ratio(&key);
+                let avg = gauge_averages(&key);
                 out.insert(
                     key,
                     Agg::Gauge {

@@ -22,6 +22,11 @@
 //! Collectives per solve: one in set-up plus one per iteration; with
 //! `project_mean` the per-iteration and set-up residual mean projections
 //! and the final solution projection add one each.
+//!
+//! [`Projection`] wraps [`solve`] for a sequence of solves whose right-hand
+//! sides change slowly (the pressure solve of successive time steps): each
+//! starts from the projection of its solution onto the span of earlier
+//! solutions (Fischer's scheme, as in NekRS).
 
 use crate::gs::GatherScatter;
 use crate::workspace::Workspace;
@@ -131,11 +136,7 @@ fn solve_with(
         &mut s[..n],
     );
     let mut masked_op = |comm: &mut Comm, v: &[f64], out: &mut [f64]| {
-        apply(comm, v, out);
-        gs.sum(comm, out);
-        for (o, &m) in out.iter_mut().zip(mask) {
-            *o *= m;
-        }
+        masked_apply(comm, gs, &mut apply, mask, v, out)
     };
 
     // r = b − mask·GS(A x), u = D⁻¹r, w = mask·GS(A u).
@@ -207,6 +208,219 @@ fn solve_with(
     }
 }
 
+/// Fischer's successive-right-hand-side projection: the initial guess of
+/// each solve is the A-orthogonal projection of its solution onto the span
+/// of earlier solutions.
+///
+/// The basis `x̃ⱼ` is A-orthonormal under the assembled, masked operator
+/// (`x̃ᵢ·mask·GS(A·x̃ⱼ) = δᵢⱼ`, multiplicity-weighted). Before a solve,
+/// `αⱼ = x̃ⱼ·b` (one fused pass, one `allreduce_vec`) gives
+/// `x₀ = Σαⱼx̃ⱼ`, which minimizes `‖x − x₀‖_A` over the span without
+/// applying `A`; [`solve`]'s own set-up apply then forms `r = b − A·x₀`.
+/// After the solve one operator apply gives `A·Δx` for the correction
+/// `Δx = x − x₀`, and one `allreduce_vec` over `[x̃ⱼ·AΔx…, Δx·AΔx]`
+/// drives a classical Gram–Schmidt step in the A-inner product:
+/// `‖Δx'‖²_A = Δx·AΔx − Σcⱼ²`, and `Δx` is dropped when that is at most
+/// `1e-14·Δx·AΔx` (already in the span). The CG solve leaves `Δx` nearly
+/// A-orthogonal to the basis already (`x̃ⱼ·AΔx` is `x̃ⱼ` dotted with the
+/// final residual), so the `cⱼ` are small and one pass keeps the basis
+/// orthonormal to round-off.
+///
+/// While the basis is empty the solve warm-starts from the `x` it is
+/// given and the whole solution becomes the first vector. When the basis
+/// is full it restarts from the current solution, normalized: the oldest
+/// vector carries the dominant direction, so sliding the window by
+/// dropping it does worse than a plain warm start.
+///
+/// Depth 0 never stores a vector: [`Projection::solve`] is then exactly
+/// [`solve`] with a warm start. Collectives per solve are [`solve`]'s plus
+/// two (plus one while the basis is empty). The `depth` vectors are
+/// allocated once, so steady-state solves do not touch the heap.
+#[derive(Debug)]
+pub(crate) struct Projection {
+    /// `depth` buffers; the first `len` hold the basis.
+    basis: Vec<Vec<f64>>,
+    len: usize,
+    /// `αⱼ` before a solve; `cⱼ` and `Δx·AΔx` after (`depth + 1` slots).
+    coeffs: Vec<f64>,
+}
+
+impl Projection {
+    /// An empty basis of up to `depth` vectors of length `n`.
+    pub fn new(depth: usize, n: usize) -> Self {
+        Self {
+            basis: (0..depth).map(|_| vec![0.0; n]).collect(),
+            len: 0,
+            coeffs: vec![0.0; depth + 1],
+        }
+    }
+
+    /// Maximum number of basis vectors.
+    pub fn depth(&self) -> usize {
+        self.basis.len()
+    }
+
+    /// Basis vectors currently held.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the next solve has no projection to start from.
+    #[cfg(test)]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes the basis occupies (`depth·n·8`), for memory accounting.
+    pub fn bytes(&self) -> u64 {
+        self.basis.iter().map(|v| (v.len() * 8) as u64).sum()
+    }
+
+    /// Forget every stored solution (the next solve warm-starts from `x`).
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// [`solve`] from the projected initial guess, then fold the new
+    /// solution into the basis. Arguments as for [`solve`]; `x` is only
+    /// read as the initial guess while the basis is empty.
+    #[allow(clippy::too_many_arguments)]
+    pub fn solve(
+        &mut self,
+        comm: &mut Comm,
+        gs: &GatherScatter,
+        mut apply: impl FnMut(&mut Comm, &[f64], &mut [f64]),
+        b: &[f64],
+        x: &mut [f64],
+        diag_inv: &[f64],
+        mask: &[f64],
+        cfg: &CgConfig,
+        ws: &mut Workspace,
+    ) -> CgResult {
+        let n = b.len();
+        let wt = &gs.mult_inv()[..n];
+        let m = self.len;
+        if m > 0 {
+            // x₀ = Σ αⱼ x̃ⱼ with αⱼ = x̃ⱼ·b.
+            let basis = &self.basis[..m];
+            let alpha = &mut self.coeffs[..m];
+            comm.compute_gpu(2.0 * (m * n) as f64, 8.0 * ((m + 2) * n) as f64);
+            for (a, v) in alpha.iter_mut().zip(basis) {
+                *a = local_wdots([(v, b)], wt)[0];
+            }
+            comm.allreduce_vec(alpha, ReduceOp::Sum);
+            combine(comm, &mut x[..n], alpha, basis);
+        }
+        // A full basis restarts from the solution, so it needs no x₀.
+        let x0 = (m > 0 && m < self.depth()).then(|| {
+            let mut x0 = ws.take_uninit();
+            x0.copy_from_slice(&x[..n]);
+            x0
+        });
+        let result = solve(comm, gs, &mut apply, b, x, diag_inv, mask, cfg, ws);
+        if self.depth() > 0 {
+            // Δx = x − x₀, in x₀'s buffer.
+            let dx = x0.map(|mut d| {
+                comm.compute_gpu(n as f64, 8.0 * (3 * n) as f64);
+                for (di, &xi) in d.iter_mut().zip(&x[..n]) {
+                    *di = xi - *di;
+                }
+                d
+            });
+            self.update(comm, gs, &mut apply, &x[..n], dx.as_deref(), mask, ws);
+            if let Some(dx) = dx {
+                ws.put(dx);
+            }
+        }
+        result
+    }
+
+    /// Fold a solve's outcome into the basis: A-orthonormalize the
+    /// correction `dx` against it, or, when `dx` is `None` (the basis was
+    /// empty or full), restart the basis from the solution `x`.
+    #[allow(clippy::too_many_arguments)]
+    fn update(
+        &mut self,
+        comm: &mut Comm,
+        gs: &GatherScatter,
+        apply: &mut impl FnMut(&mut Comm, &[f64], &mut [f64]),
+        x: &[f64],
+        dx: Option<&[f64]>,
+        mask: &[f64],
+        ws: &mut Workspace,
+    ) {
+        let n = x.len();
+        let wt = &gs.mult_inv()[..n];
+        if dx.is_none() {
+            self.len = 0;
+        }
+        let v = dx.unwrap_or(x);
+        let m = self.len;
+        let mut av = ws.take_uninit();
+        masked_apply(comm, gs, apply, mask, v, &mut av);
+        let (basis, rest) = self.basis.split_at_mut(m);
+        let c = &mut self.coeffs[..m + 1];
+        comm.compute_gpu(2.0 * ((m + 1) * n) as f64, 8.0 * ((m + 3) * n) as f64);
+        for (cj, xj) in c.iter_mut().zip(basis.iter()) {
+            *cj = local_wdots([(xj, &av)], wt)[0];
+        }
+        c[m] = local_wdots([(v, &av)], wt)[0];
+        ws.put(av);
+        comm.allreduce_vec(c, ReduceOp::Sum);
+        let vav = c[m];
+        let norm2 = vav - c[..m].iter().map(|cj| cj * cj).sum::<f64>();
+        if norm2.is_nan() || norm2 <= 1e-14 * vav {
+            return;
+        }
+        // x̃ₘ = (v − Σ cⱼ x̃ⱼ) / ‖v − Σ cⱼ x̃ⱼ‖_A.
+        comm.compute_gpu(2.0 * ((m + 1) * n) as f64, 8.0 * ((m + 2) * n) as f64);
+        let new = &mut rest[0][..n];
+        new.copy_from_slice(v);
+        for (&cj, xj) in c[..m].iter().zip(basis.iter()) {
+            for (o, &xi) in new.iter_mut().zip(&xj[..n]) {
+                *o -= cj * xi;
+            }
+        }
+        let scale = 1.0 / norm2.sqrt();
+        for o in new.iter_mut() {
+            *o *= scale;
+        }
+        self.len = m + 1;
+    }
+}
+
+/// `x = Σ αⱼ vⱼ`, accumulated in `j` order.
+fn combine(comm: &mut Comm, x: &mut [f64], alpha: &[f64], basis: &[Vec<f64>]) {
+    let n = x.len();
+    comm.compute_gpu(
+        2.0 * (alpha.len() * n) as f64,
+        8.0 * ((alpha.len() + 1) * n) as f64,
+    );
+    x.fill(0.0);
+    for (&a, v) in alpha.iter().zip(basis) {
+        for (xi, &vi) in x.iter_mut().zip(&v[..n]) {
+            *xi += a * vi;
+        }
+    }
+}
+
+/// `out = mask·GS(A·v)`: the assembled operator on free nodes.
+fn masked_apply(
+    comm: &mut Comm,
+    gs: &GatherScatter,
+    apply: &mut impl FnMut(&mut Comm, &[f64], &mut [f64]),
+    mask: &[f64],
+    v: &[f64],
+    out: &mut [f64],
+) {
+    apply(comm, v, out);
+    gs.sum(comm, out);
+    for (o, &m) in out.iter_mut().zip(mask) {
+        *o *= m;
+    }
+}
+
 /// Jacobi preconditioner on free nodes: `u = D⁻¹·r·mask`.
 fn precondition(u: &mut [f64], r: &[f64], diag_inv: &[f64], mask: &[f64]) {
     for (((ui, &ri), &di), &m) in u.iter_mut().zip(r).zip(diag_inv).zip(mask) {
@@ -229,10 +443,19 @@ fn fused_wdots<const K: usize>(
         .count();
     let n = weights.len();
     comm.compute_gpu(2.0 * (K * n) as f64, 8.0 * ((distinct + 1) * n) as f64);
+    let mut dots = local_wdots(pairs, weights);
+    comm.allreduce_vec(&mut dots, ReduceOp::Sum);
+    dots
+}
+
+/// The local parts of `K` multiplicity-weighted inner products, in one
+/// pass. Not charged: callers charge the kernel they fuse it into.
+fn local_wdots<const K: usize>(pairs: [(&[f64], &[f64]); K], weights: &[f64]) -> [f64; K] {
     // Four interleaved partial sums per product break the serial add
     // chain; the lane split and the final combine are fixed, so the result
     // depends on the inputs alone.
     const LANES: usize = 4;
+    let n = weights.len();
     let pairs = pairs.map(|(a, b)| (&a[..n], &b[..n]));
     let mut lanes = [[0.0; LANES]; K];
     let body = n - n % LANES;
@@ -251,7 +474,6 @@ fn fused_wdots<const K: usize>(
             *d += a[i] * b[i] * weights[i];
         }
     }
-    comm.allreduce_vec(&mut dots, ReduceOp::Sum);
     dots
 }
 
@@ -314,6 +536,88 @@ mod tests {
         collectives: u64,
     }
 
+    /// One rank's share of a Poisson problem on the unit box: the mesh,
+    /// its assembly and operators, the Dirichlet mask and the inverse
+    /// assembled diagonal.
+    struct Poisson {
+        mesh: LocalMesh,
+        gs: GatherScatter,
+        ops: Ops,
+        mask: Vec<f64>,
+        diag_inv: Vec<f64>,
+        neumann: bool,
+    }
+
+    impl Poisson {
+        fn new(comm: &mut Comm, problem: Problem, order: usize, elems: [usize; 3]) -> Self {
+            let neumann = problem == Problem::Neumann;
+            let spec = Arc::new(MeshSpec::box_mesh(order, elems, [1.0; 3], [neumann; 3]));
+            let mesh = LocalMesh::new(spec, comm.rank(), comm.size());
+            let gs = GatherScatter::new(&mesh, comm);
+            let ops = Ops::new(&mesh);
+            let n = mesh.layout().n_nodes();
+            let mask = if neumann {
+                vec![1.0; n]
+            } else {
+                mesh.dirichlet_mask(&BcSet {
+                    faces: [Bc::Dirichlet(0.0); 6],
+                    solid_surface: Bc::Neumann,
+                })
+                .0
+            };
+            let mut diag = ops.stiffness_diag();
+            gs.sum(comm, &mut diag);
+            let diag_inv = diag.iter().map(|&d| 1.0 / d).collect();
+            Self {
+                mesh,
+                gs,
+                ops,
+                mask,
+                diag_inv,
+                neumann,
+            }
+        }
+
+        fn n(&self) -> usize {
+            self.mask.len()
+        }
+
+        /// `b = mask·GS(M f)`.
+        fn rhs(&self, comm: &mut Comm, f: impl Fn([f64; 3]) -> f64) -> Vec<f64> {
+            let f = self.mesh.eval_nodal(f);
+            let mut b = vec![0.0; self.n()];
+            self.ops.mass_apply(comm, &f, &mut b);
+            self.gs.sum(comm, &mut b);
+            for (bi, &m) in b.iter_mut().zip(&self.mask) {
+                *bi *= m;
+            }
+            b
+        }
+
+        fn cfg(&self, tol: f64) -> CgConfig {
+            CgConfig {
+                tol,
+                max_iter: 500,
+                project_mean: self.neumann,
+                ..Default::default()
+            }
+        }
+
+        /// `out = mask·GS(A·v)`.
+        fn apply(&self, comm: &mut Comm, v: &[f64], out: &mut [f64]) {
+            let mut scratch = vec![0.0; self.n()];
+            let mut apply = |comm: &mut Comm, v: &[f64], out: &mut [f64]| {
+                self.ops.stiffness_apply(comm, v, out, &mut scratch)
+            };
+            masked_apply(comm, &self.gs, &mut apply, &self.mask, v, out);
+        }
+
+        /// Global multiplicity-weighted inner product.
+        fn wdot(&self, comm: &mut Comm, a: &[f64], b: &[f64]) -> f64 {
+            comm.allreduce(local_wdots([(a, b)], self.gs.mult_inv())[0], ReduceOp::Sum)
+        }
+    }
+
     /// Solve a manufactured Poisson problem on the unit box with `solver`
     /// at tolerance `tol`; one outcome per rank.
     fn manufactured(
@@ -326,68 +630,41 @@ mod tests {
     ) -> Vec<Outcome> {
         run_ranks(ranks, MachineModel::test_tiny(), move |comm| {
             use std::f64::consts::PI;
-            let neumann = problem == Problem::Neumann;
-            let spec = Arc::new(MeshSpec::box_mesh(order, elems, [1.0; 3], [neumann; 3]));
-            let mesh = LocalMesh::new(spec, comm.rank(), comm.size());
-            let gs = crate::gs::GatherScatter::new(&mesh, comm);
-            let ops = Ops::new(&mesh);
-            let n = mesh.layout().n_nodes();
-
-            let (exact, k2) = if neumann {
-                (mesh.eval_nodal(|x| (2.0 * PI * x[0]).sin()), 4.0 * PI * PI)
+            let pb = Poisson::new(comm, problem, order, elems);
+            let (u, k2): (fn([f64; 3]) -> f64, f64) = if pb.neumann {
+                (|x| (2.0 * PI * x[0]).sin(), 4.0 * PI * PI)
             } else {
-                let u = |x: [f64; 3]| (PI * x[0]).sin() * (PI * x[1]).sin() * (PI * x[2]).sin();
-                (mesh.eval_nodal(u), 3.0 * PI * PI)
+                (
+                    |x| (PI * x[0]).sin() * (PI * x[1]).sin() * (PI * x[2]).sin(),
+                    3.0 * PI * PI,
+                )
             };
-            let f: Vec<f64> = exact.iter().map(|&u| k2 * u).collect();
-            let mask = if neumann {
-                vec![1.0; n]
-            } else {
-                mesh.dirichlet_mask(&BcSet {
-                    faces: [Bc::Dirichlet(0.0); 6],
-                    solid_surface: Bc::Neumann,
-                })
-                .0
-            };
-
-            // b = GS(M f), masked.
-            let mut b = vec![0.0; n];
-            ops.mass_apply(comm, &f, &mut b);
-            gs.sum(comm, &mut b);
-            for i in 0..n {
-                b[i] *= mask[i];
-            }
-
-            let mut diag = ops.stiffness_diag();
-            gs.sum(comm, &mut diag);
-            let diag_inv: Vec<f64> = diag.iter().map(|&d| 1.0 / d).collect();
-
+            let exact = pb.mesh.eval_nodal(u);
+            let b = pb.rhs(comm, |x| k2 * u(x));
+            let n = pb.n();
             let mut x = vec![0.0; n];
             let mut scratch = vec![0.0; n];
-            let cfg = CgConfig {
-                tol,
-                max_iter: 500,
-                project_mean: neumann,
-                ..Default::default()
-            };
+            let cfg = pb.cfg(tol);
+            let ops = &pb.ops;
             let apply = |comm: &mut Comm, p: &[f64], out: &mut [f64]| {
                 ops.stiffness_apply(comm, p, out, &mut scratch)
             };
+            let (gs, diag_inv, mask) = (&pb.gs, &pb.diag_inv, &pb.mask);
             let before = comm.stats().collectives;
             let result = match solver {
                 Solver::SingleReduction => solve(
                     comm,
-                    &gs,
+                    gs,
                     apply,
                     &b,
                     &mut x,
-                    &diag_inv,
-                    &mask,
+                    diag_inv,
+                    mask,
                     &cfg,
                     &mut Workspace::new(n),
                 ),
                 Solver::Reference => {
-                    reference_solve(comm, &gs, apply, &b, &mut x, &diag_inv, &mask, &cfg)
+                    reference_solve(comm, gs, apply, &b, &mut x, diag_inv, mask, &cfg)
                 }
             };
             let collectives = comm.stats().collectives - before;
@@ -578,6 +855,248 @@ mod tests {
             NEUMANN_SETUP_COLLECTIVES,
             2,
         );
+    }
+
+    /// Collectives plain [`solve`] spends on a solve of `iterations`
+    /// iterations (a zero-iteration Neumann solve returns before the final
+    /// solution projection).
+    fn plain_collectives(problem: Problem, iterations: usize) -> u64 {
+        let iterations = iterations as u64;
+        match problem {
+            Problem::Dirichlet => DIRICHLET_SETUP_COLLECTIVES + iterations,
+            Problem::Neumann if iterations == 0 => NEUMANN_SETUP_COLLECTIVES - 1,
+            Problem::Neumann => NEUMANN_SETUP_COLLECTIVES + 2 * iterations,
+        }
+    }
+
+    /// The `k`-th right-hand side of a solve sequence: a plane wave whose
+    /// wave vector changes with `k`, so successive solutions are linearly
+    /// independent.
+    fn sequence_rhs(k: usize) -> impl Fn([f64; 3]) -> f64 {
+        let k = k as f64;
+        move |x| (1.3 * (k + 1.0) * x[0] + 0.7 * k * x[1] + 0.5 * x[2] + k).sin()
+    }
+
+    /// One rank's record of a sequence of projected solves.
+    struct Sequence {
+        results: Vec<CgResult>,
+        /// ‖b − A·x‖ (mean-projected for Neumann) over the solve's target.
+        true_residual_ratio: Vec<f64>,
+        collectives: Vec<u64>,
+        /// Basis size before and after each solve.
+        len_before: Vec<usize>,
+        len_after: Vec<usize>,
+        /// max |G − I| of the final basis Gram matrix under `mask·GS(A·)`.
+        gram_err: f64,
+    }
+
+    /// `rhs.len()` successive solves through one depth-`depth`
+    /// [`Projection`], each warm-started from the previous solution; the
+    /// `k`-th is `rhs[k] = (coefficients, tol)`, its right-hand side the
+    /// combination of the [`sequence_rhs`] right-hand sides.
+    fn projected_sequence(
+        problem: Problem,
+        ranks: usize,
+        depth: usize,
+        rhs: Vec<(Vec<f64>, f64)>,
+    ) -> Vec<Sequence> {
+        let (order, elems) = match problem {
+            Problem::Dirichlet => (4, [2, 2, 4]),
+            Problem::Neumann => (5, [2, 1, 2]),
+        };
+        run_ranks(ranks, MachineModel::test_tiny(), move |comm| {
+            let pb = Poisson::new(comm, problem, order, elems);
+            let n = pb.n();
+            let max_terms = rhs.iter().map(|(c, _)| c.len()).max().unwrap_or(0);
+            let basis_rhs: Vec<Vec<f64>> = (0..max_terms)
+                .map(|k| pb.rhs(comm, sequence_rhs(k)))
+                .collect();
+            let mut proj = Projection::new(depth, n);
+            let mut ws = Workspace::new(n);
+            let mut scratch = vec![0.0; n];
+            let mut x = vec![0.0; n];
+            let mut seq = Sequence {
+                results: Vec::new(),
+                true_residual_ratio: Vec::new(),
+                collectives: Vec::new(),
+                len_before: Vec::new(),
+                len_after: Vec::new(),
+                gram_err: 0.0,
+            };
+            for (coeffs, tol) in &rhs {
+                let mut b = vec![0.0; n];
+                for (c, bk) in coeffs.iter().zip(&basis_rhs) {
+                    for (bi, &v) in b.iter_mut().zip(bk) {
+                        *bi += c * v;
+                    }
+                }
+                let cfg = pb.cfg(*tol);
+                seq.len_before.push(proj.len());
+                let before = comm.stats().collectives;
+                let result = proj.solve(
+                    comm,
+                    &pb.gs,
+                    |comm: &mut Comm, v: &[f64], out: &mut [f64]| {
+                        pb.ops.stiffness_apply(comm, v, out, &mut scratch)
+                    },
+                    &b,
+                    &mut x,
+                    &pb.diag_inv,
+                    &pb.mask,
+                    &cfg,
+                    &mut ws,
+                );
+                seq.collectives.push(comm.stats().collectives - before);
+                seq.len_after.push(proj.len());
+                seq.results.push(result);
+                let mut r = vec![0.0; n];
+                pb.apply(comm, &x, &mut r);
+                for (ri, &bi) in r.iter_mut().zip(&b) {
+                    *ri = bi - *ri;
+                }
+                if pb.neumann {
+                    remove_weighted_mean(comm, &mut r, pb.gs.mult_inv(), &pb.mask);
+                }
+                let target = (tol * pb.wdot(comm, &b, &b).sqrt()).max(cfg.abs_tol);
+                seq.true_residual_ratio
+                    .push(pb.wdot(comm, &r, &r).sqrt() / target);
+            }
+            let basis = &proj.basis[..proj.len()];
+            let mut av = vec![0.0; n];
+            for (i, xi) in basis.iter().enumerate() {
+                pb.apply(comm, xi, &mut av);
+                for (j, xj) in basis.iter().enumerate() {
+                    let g = pb.wdot(comm, xj, &av);
+                    let err = (g - if i == j { 1.0 } else { 0.0 }).abs();
+                    seq.gram_err = seq.gram_err.max(err);
+                }
+            }
+            seq
+        })
+    }
+
+    /// `count` solves of the independent [`sequence_rhs`] right-hand sides
+    /// at tolerance `tol`.
+    fn independent_rhs(count: usize, tol: f64) -> Vec<(Vec<f64>, f64)> {
+        (0..count)
+            .map(|k| {
+                let mut c = vec![0.0; k + 1];
+                c[k] = 1.0;
+                (c, tol)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rhs_in_span_of_earlier_solutions_takes_zero_iterations() {
+        for (problem, ranks) in [(Problem::Dirichlet, 4), (Problem::Neumann, 2)] {
+            let mut rhs = independent_rhs(3, 1e-12);
+            // 0.7·b₀ − 1.3·b₂ at a looser tolerance than the solves that
+            // built the basis.
+            rhs.push((vec![0.7, 0.0, -1.3], 1e-8));
+            for (rank, seq) in projected_sequence(problem, ranks, 4, rhs)
+                .iter()
+                .enumerate()
+            {
+                let last = seq.results[3];
+                assert!(last.converged, "{problem:?} rank {rank}: {last:?}");
+                assert_eq!(last.iterations, 0, "{problem:?} rank {rank}: {last:?}");
+                // The correction is zero, so nothing joins the basis.
+                assert_eq!(seq.len_after, [1, 2, 3, 3], "{problem:?} rank {rank}");
+                assert_eq!(
+                    seq.collectives[3],
+                    plain_collectives(problem, 0) + 2,
+                    "{problem:?} rank {rank}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn projected_solves_meet_the_tolerance_with_two_extra_collectives() {
+        for (problem, ranks) in [(Problem::Dirichlet, 4), (Problem::Neumann, 2)] {
+            let depth = 4;
+            let rhs = independent_rhs(2 * depth + 3, 1e-10);
+            for (rank, seq) in projected_sequence(problem, ranks, depth, rhs)
+                .iter()
+                .enumerate()
+            {
+                for (k, r) in seq.results.iter().enumerate() {
+                    assert!(r.converged, "{problem:?} rank {rank} solve {k}: {r:?}");
+                    let ratio = seq.true_residual_ratio[k];
+                    assert!(
+                        ratio <= 1.0 + 1e-3,
+                        "{problem:?} rank {rank} solve {k}: true residual {ratio}× the target"
+                    );
+                    let extra = if seq.len_before[k] == 0 { 1 } else { 2 };
+                    assert_eq!(
+                        seq.collectives[k],
+                        plain_collectives(problem, r.iterations) + extra,
+                        "{problem:?} rank {rank} solve {k}: {r:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn projection_basis_stays_a_orthonormal_across_resets() {
+        for (problem, ranks) in [(Problem::Dirichlet, 4), (Problem::Neumann, 2)] {
+            let depth = 4;
+            let rhs = independent_rhs(2 * depth + 3, 1e-10);
+            for (rank, seq) in projected_sequence(problem, ranks, depth, rhs)
+                .iter()
+                .enumerate()
+            {
+                // Grows to the depth, restarts from the solution when full.
+                assert_eq!(
+                    seq.len_after,
+                    [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3],
+                    "{problem:?} rank {rank}"
+                );
+                assert!(
+                    seq.gram_err <= 1e-10,
+                    "{problem:?} rank {rank}: Gram matrix off the identity by {}",
+                    seq.gram_err
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn depth_zero_projection_is_a_plain_warm_started_solve() {
+        let res = run_ranks(2, MachineModel::test_tiny(), |comm| {
+            let pb = Poisson::new(comm, Problem::Dirichlet, 4, [2, 2, 2]);
+            let n = pb.n();
+            let cfg = pb.cfg(1e-10);
+            let mut scratch = vec![0.0; n];
+            let mut run = |comm: &mut Comm, projected: bool| {
+                let (mut x, mut ws) = (vec![0.0; n], Workspace::new(n));
+                let mut proj = Projection::new(0, n);
+                let before = comm.stats().collectives;
+                for k in 0..3 {
+                    let b = pb.rhs(comm, sequence_rhs(k));
+                    let apply = |comm: &mut Comm, v: &[f64], out: &mut [f64]| {
+                        pb.ops.stiffness_apply(comm, v, out, &mut scratch)
+                    };
+                    let (gs, d, m) = (&pb.gs, &pb.diag_inv, &pb.mask);
+                    if projected {
+                        proj.solve(comm, gs, apply, &b, &mut x, d, m, &cfg, &mut ws);
+                    } else {
+                        solve(comm, gs, apply, &b, &mut x, d, m, &cfg, &mut ws);
+                    }
+                }
+                assert!(proj.is_empty());
+                (x, comm.stats().collectives - before)
+            };
+            let plain = run(comm, false);
+            let projected = run(comm, true);
+            (plain, projected)
+        });
+        for ((xa, ca), (xb, cb)) in res {
+            assert_eq!(ca, cb);
+            assert!(xa.iter().zip(&xb).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //!    explicitly and extrapolate with EXTk;
 //! 2. combine with the BDFk history into a tentative velocity `û`;
 //! 3. solve the pressure Poisson equation `A p = −(b₀/Δt)·M ∇·û` (CG,
-//!    Jacobi preconditioner, mean projection on pure-Neumann domains);
+//!    Jacobi preconditioner, mean projection on pure-Neumann domains),
+//!    starting from the projection of `p` onto the span of the last
+//!    `pressure_projection` solutions (`cg::Projection`; a plain warm
+//!    start from the previous `p` at depth 0);
 //! 4. project: `u** = û − (Δt/b₀)·∇p`;
 //! 5. solve the implicit viscous Helmholtz system
 //!    `((b₀/Δt)·M + ν·A)·u = (b₀/Δt)·M u**` per component, with Dirichlet
@@ -19,7 +22,7 @@
 //! only host-visible access is [`FlowSolver::stage_to_host`], which pays
 //! the D2H transfer — the constraint the paper's in situ overhead hinges on.
 
-use crate::cg::{self, CgConfig, CgResult};
+use crate::cg::{self, CgConfig, CgResult, Projection};
 use crate::gs::GatherScatter;
 use crate::mesh::{BcSet, LocalMesh};
 use crate::operators::{transpose_op, Ops};
@@ -72,12 +75,15 @@ impl BlockInstruments {
 }
 
 /// Lazily-bound per-step telemetry: virtual step time and solver health
-/// (CG iterations per pressure solve and per velocity-component solve).
-/// Every handle is a no-op when telemetry is off.
+/// (CG iterations per pressure, velocity-component and temperature solve,
+/// and the end-of-step divergence norm). Every handle is a no-op when
+/// telemetry is off.
 struct StepInstruments {
     step_time: commsim::Histogram,
     pressure_iters: commsim::Histogram,
     velocity_iters: commsim::Histogram,
+    temperature_iters: commsim::Histogram,
+    divergence: commsim::Gauge,
 }
 
 impl StepInstruments {
@@ -86,6 +92,8 @@ impl StepInstruments {
             step_time: t.histogram("sem/step_time"),
             pressure_iters: t.histogram("sem/pressure_iters"),
             velocity_iters: t.histogram("sem/velocity_iters"),
+            temperature_iters: t.histogram("sem/temperature_iters"),
+            divergence: t.gauge("sem/divergence"),
         }
     }
 }
@@ -125,6 +133,10 @@ pub struct SolverConfig {
     pub pressure_cg: CgConfig,
     /// CG controls for the viscous Helmholtz solves.
     pub velocity_cg: CgConfig,
+    /// Pressure solutions kept for the projected initial guess (NekRS's
+    /// residual-projection vector count); 0 warm-starts from the previous
+    /// pressure alone.
+    pub pressure_projection: usize,
     /// Constant body force per unit mass (e.g. a driving pressure
     /// gradient for channel flows); applied with the advection terms.
     pub body_force: [f64; 3],
@@ -151,6 +163,7 @@ impl Default for SolverConfig {
                 max_iter: 200,
                 ..Default::default()
             },
+            pressure_projection: 0,
             body_force: [0.0; 3],
             filter: None,
             temperature: None,
@@ -226,6 +239,8 @@ pub struct FlowSolver {
     mass_diag_assembled: Vec<f64>,
     stiff_diag_assembled: Vec<f64>,
     p_diag_inv: Vec<f64>,
+    /// Basis of earlier pressure solutions for the projected initial guess.
+    p_proj: Projection,
     filter_matrix: Option<Vec<f64>>,
     /// Transpose of `filter_matrix`, feeding the axis-0 SIMD kernel of
     /// `apply_tensor_op`.
@@ -239,9 +254,9 @@ pub struct FlowSolver {
     block_arena: BlockArena,
     step_index: usize,
     time: f64,
-    /// Lazily-bound per-step instruments (`rank<r>/sem/step_time`,
-    /// `sem/pressure_iters`, `sem/velocity_iters`), bound by the first step
-    /// so steady-state steps never touch the registry.
+    /// Lazily-bound per-step instruments (`rank<r>/sem/step_time`, the
+    /// `sem/*_iters` histograms and `sem/divergence`), bound by the first
+    /// step so steady-state steps never touch the registry.
     step_instr: Option<StepInstruments>,
     /// Lazily-bound block-scheduler instruments (overlap ratio gauge +
     /// per-phase imbalance counters).
@@ -322,7 +337,8 @@ impl FlowSolver {
         // Everything above lives in device memory in NekRS; charge it.
         let n_fields = 3 + 1 + if t.is_some() { 1 } else { 0 };
         let histories = 3 * 2 + 3 * 3 + 2 + 3; // u_hist + adv_hist + t hists
-        let bytes = ((n_fields + histories + 8) * n * 8) as u64;
+        let p_proj = Projection::new(cfg.pressure_projection, n);
+        let bytes = ((n_fields + histories + 8) * n * 8) as u64 + p_proj.bytes();
         let gpu_charge = comm.accountant("gpu").charge(bytes);
 
         // Setup-time operator and gather-scatter traffic should not leak
@@ -354,6 +370,7 @@ impl FlowSolver {
             mass_diag_assembled,
             stiff_diag_assembled,
             p_diag_inv,
+            p_proj,
             filter_matrix,
             filter_matrix_t,
             scratch: vec![0.0; n],
@@ -583,9 +600,13 @@ impl FlowSolver {
     }
 
     /// Restore primary fields from a checkpoint (velocity, pressure, and
-    /// temperature if enabled). Histories are cleared, so time integration
-    /// ramps back up from BDF1/EXT1 — with `bdf_order = 1` a restart
-    /// reproduces the original trajectory exactly.
+    /// temperature if enabled). The BDF/EXT histories and the pressure
+    /// projection basis are cleared, so time integration ramps back up from
+    /// BDF1/EXT1 and the next pressure solve warm-starts from the restored
+    /// `p`. The restart reproduces the original trajectory exactly only with
+    /// `bdf_order = 1` and `pressure_projection = 0`; otherwise it follows
+    /// the same solution to solver tolerance, and restoring one checkpoint
+    /// always gives the same trajectory whatever the solver did before.
     ///
     /// # Panics
     /// Panics on field-length mismatches.
@@ -615,6 +636,7 @@ impl FlowSolver {
         self.adv_hist.clear();
         self.t_hist.clear();
         self.t_adv_hist.clear();
+        self.p_proj.clear();
         self.step_index = step_index;
         self.time = time;
     }
@@ -768,7 +790,7 @@ impl FlowSolver {
         };
         let ops = &self.ops;
         let arena = &mut self.block_arena;
-        let pressure = cg::solve(
+        let pressure = self.p_proj.solve(
             comm,
             &self.gs,
             |comm, x, out| ops.stiffness_apply_blocked(comm, x, out, arena),
@@ -918,6 +940,10 @@ impl FlowSolver {
         for v in &velocity {
             instr.velocity_iters.observe(v.iterations as f64);
         }
+        if let Some(t) = &temperature {
+            instr.temperature_iters.observe(t.iterations as f64);
+        }
+        instr.divergence.set(divergence);
         StepReport {
             step: self.step_index,
             time: self.time,
@@ -1143,6 +1169,7 @@ mod tests {
                     max_iter: 400,
                     ..Default::default()
                 },
+                pressure_projection: 0,
                 body_force: [0.0; 3],
                 filter: None,
                 temperature: None,
@@ -1658,6 +1685,91 @@ mod tests {
         assert!(
             (ke_ref - ke_restart).abs() < 1e-12 * ke_ref.max(1.0),
             "BDF1 restart must be exact: {ke_ref} vs {ke_restart}"
+        );
+    }
+
+    /// A small pebble bed (2×2×4 elements, order 3, 8 pebbles) with
+    /// `pressure_projection = depth`.
+    fn small_pb146(comm: &mut Comm, depth: usize) -> FlowSolver {
+        let mut params = crate::cases::CaseParams::pb146_default();
+        params.elems = [2, 2, 4];
+        params.order = 3;
+        let mut case = crate::cases::pb146(&params, 8);
+        case.config.pressure_projection = depth;
+        case.build(comm)
+    }
+
+    /// Primary fields as a checkpoint would hold them.
+    type State = (usize, f64, [Vec<f64>; 3], Vec<f64>);
+
+    fn checkpoint(s: &FlowSolver) -> State {
+        let f = |id| s.field_device(id).expect("field").to_vec();
+        let u = [f(FieldId::VelX), f(FieldId::VelY), f(FieldId::VelZ)];
+        (s.step_index(), s.time(), u, f(FieldId::Pressure))
+    }
+
+    #[test]
+    fn restore_clears_the_pressure_projection_basis() {
+        let res = run_ranks(2, MachineModel::test_tiny(), |comm| {
+            let mut a = small_pb146(comm, crate::cases::PRESSURE_PROJECTION);
+            for _ in 0..4 {
+                a.step(comm);
+            }
+            let saved = checkpoint(&a);
+            // `a` runs on, so its basis holds more solutions than it did
+            // at the checkpoint.
+            for _ in 0..4 {
+                a.step(comm);
+            }
+            assert!(a.p_proj.len() > 4);
+            let mut b = small_pb146(comm, crate::cases::PRESSURE_PROJECTION);
+            let mut trajectories = Vec::new();
+            for s in [&mut a, &mut b] {
+                let (si, t, u, p) = saved.clone();
+                s.restore(comm, si, t, u, p, None);
+                assert!(s.p_proj.is_empty());
+                let mut states = Vec::new();
+                for _ in 0..5 {
+                    let r = s.step(comm);
+                    states.push((r.pressure.iterations, checkpoint(s)));
+                }
+                trajectories.push(states);
+            }
+            trajectories
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rank, t) in res.iter().enumerate() {
+            for (k, ((ia, a), (ib, b))) in t[0].iter().zip(&t[1]).enumerate() {
+                let step = format!("rank {rank} step {k} after restore");
+                assert_eq!(ia, ib, "{step}: pressure iterations");
+                assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "{step}");
+                assert_eq!(bits(&a.3), bits(&b.3), "{step}: pressure");
+                for c in 0..3 {
+                    assert_eq!(bits(&a.2[c]), bits(&b.2[c]), "{step}: u{c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pressure_projection_cuts_pb146_pressure_iterations() {
+        let mean_iters = |depth: usize| {
+            run_ranks(2, MachineModel::test_tiny(), move |comm| {
+                let mut s = small_pb146(comm, depth);
+                let mut total = 0;
+                for _ in 0..30 {
+                    let r = s.step(comm);
+                    assert!(r.pressure.converged, "depth {depth}: {r:?}");
+                    total += r.pressure.iterations;
+                }
+                total as f64 / 30.0
+            })[0]
+        };
+        let plain = mean_iters(0);
+        let projected = mean_iters(crate::cases::PRESSURE_PROJECTION);
+        assert!(
+            projected <= 0.7 * plain,
+            "{projected} pressure iterations per step with projection vs {plain} without"
         );
     }
 

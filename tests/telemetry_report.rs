@@ -253,6 +253,20 @@ fn intransit_degradation_is_visible_in_the_event_log() {
     assert!(retries > 0, "dropped frames must show up as retries");
     assert!(report.series.last().expect("series").retries > 0);
 
+    // Solver health on the Boussinesq case: one temperature solve per
+    // step, and the end-of-step divergence norm.
+    match report.metric("rank0/sem/temperature_iters") {
+        Some(MetricValue::Histogram(h)) => {
+            assert_eq!(h.count, 10, "one temperature observation per step");
+            assert!(h.sum > 0.0, "the temperature solves iterate");
+        }
+        other => panic!("rank0/sem/temperature_iters missing or not a histogram: {other:?}"),
+    }
+    match report.metric("rank0/sem/divergence") {
+        Some(MetricValue::Gauge(d)) => assert!(d.is_finite() && *d >= 0.0, "divergence {d}"),
+        other => panic!("rank0/sem/divergence missing or not a gauge: {other:?}"),
+    }
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
